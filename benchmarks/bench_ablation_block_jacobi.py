@@ -16,7 +16,7 @@ from _reporting import record_table
 from _workloads import MODEL, PROCS, SEED, matrix
 
 from repro import decompose, parallel_ilut
-from repro.ilu import block_jacobi_ilut, ilum
+from repro.ilu import ILUTParams, block_jacobi_ilut, ilum
 from repro.solvers import ILUPreconditioner, gmres
 
 M, T = 10, 1e-4
@@ -29,7 +29,9 @@ def _sweep():
     for p in PROCS:
         d = decompose(A, p, seed=SEED)
         bj = block_jacobi_ilut(A, M, T, p, decomp=d, model=MODEL, seed=SEED)
-        full = parallel_ilut(A, M, T, p, decomp=d, model=MODEL, seed=SEED)
+        full = parallel_ilut(
+            A, ILUTParams(fill=M, threshold=T), p, decomp=d, model=MODEL, seed=SEED
+        )
         n_bj = gmres(A, b, restart=20, tol=1e-8, M=bj, maxiter=20000).num_matvec
         n_full = gmres(
             A, b, restart=20, tol=1e-8, M=ILUPreconditioner(full.factors),

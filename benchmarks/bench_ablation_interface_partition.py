@@ -14,7 +14,7 @@ import pytest
 from _reporting import record_table
 from _workloads import MODEL, PROCS, SEED, matrix
 
-from repro import decompose, parallel_ilut, parallel_ilut_partitioned
+from repro import ILUTParams, decompose, parallel_ilut, parallel_ilut_partitioned
 from repro.solvers import ILUPreconditioner, gmres
 
 M, T = 10, 1e-6  # dense regime — where §7 says partitioning should win
@@ -27,7 +27,9 @@ def _compare():
     b = A @ np.ones(A.shape[0])
     rows = []
     for name, runner in (
-        ("MIS levels", lambda: parallel_ilut(A, M, T, p, decomp=d, model=MODEL, seed=SEED)),
+        ("MIS levels", lambda: parallel_ilut(
+            A, ILUTParams(fill=M, threshold=T), p, decomp=d, model=MODEL, seed=SEED
+        )),
         (
             "interface partition",
             lambda: parallel_ilut_partitioned(

@@ -13,7 +13,7 @@ import pytest
 from _reporting import record_table
 from _workloads import MODEL, PROCS, SEED, matrix
 
-from repro import decompose, parallel_ilut
+from repro import ILUTParams, decompose, parallel_ilut
 
 ROUNDS = (1, 2, 5, 20)
 
@@ -25,7 +25,13 @@ def _sweep():
     rows = []
     for rounds in ROUNDS:
         r = parallel_ilut(
-            A, 10, 1e-4, p, decomp=d, model=MODEL, seed=SEED, mis_rounds=rounds
+            A,
+            ILUTParams(fill=10, threshold=1e-4),
+            p,
+            decomp=d,
+            model=MODEL,
+            seed=SEED,
+            mis_rounds=rounds,
         )
         rows.append([f"rounds={rounds}", r.num_levels, r.modeled_time])
     return rows

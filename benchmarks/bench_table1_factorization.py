@@ -69,10 +69,10 @@ def test_gap_widens_with_p(benchmark):
 def test_wall_clock_single_factorization(benchmark):
     """Real (host) wall time of one mid-grade parallel factorization."""
     A = matrix("g0")
-    from repro import parallel_ilut
+    from repro import ILUTParams, parallel_ilut
 
     benchmark.pedantic(
-        lambda: parallel_ilut(A, 10, 1e-4, PROCS[1], seed=0),
+        lambda: parallel_ilut(A, ILUTParams(fill=10, threshold=1e-4), PROCS[1], seed=0),
         rounds=1,
         iterations=1,
     )

@@ -158,12 +158,11 @@ class EliminationEngine:
         Luby augmentation rounds per independent set (paper uses 5).
     seed:
         Seed for the per-level MIS randomness.
-    diag_guard:
-        Replace exactly-zero pivots with the row's relative tolerance.
     pivot_policy:
-        Full small/zero-pivot remediation
-        (:class:`~repro.resilience.PivotPolicy`); overrides
-        ``diag_guard`` when given.
+        Small/zero-pivot remediation
+        (:class:`~repro.resilience.PivotPolicy`); the default
+        ``PivotPolicy("guard")`` replaces exactly-zero pivots with the
+        row's relative tolerance.
     checkpoint:
         Snapshot the elimination + simulator state after phase 1 and
         after every completed phase-2 level, and recover from injected
@@ -194,7 +193,6 @@ class EliminationEngine:
         sim: Simulator | Transport | None = None,
         mis_rounds: int = 5,
         seed: int = 0,
-        diag_guard: bool = True,
         pivot_policy: PivotPolicy | None = None,
         checkpoint: bool = False,
         max_recoveries: int = 8,
@@ -217,10 +215,7 @@ class EliminationEngine:
         self.sim = sim
         self.mis_rounds = int(mis_rounds)
         self.seed = int(seed)
-        self.diag_guard = diag_guard
-        self.pivot_policy = (
-            pivot_policy if pivot_policy is not None else PivotPolicy.from_diag_guard(diag_guard)
-        )
+        self.pivot_policy = pivot_policy if pivot_policy is not None else PivotPolicy()
         self.checkpoint = bool(checkpoint)
         self.max_recoveries = int(max_recoveries)
         self.recoveries = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..resilience import ZeroPivotError
+from ..resilience import ZeroPivotError, assert_finite
 from ..sparse import COOBuilder, CSRMatrix, SparseRowAccumulator
 from .factors import ILUFactors
 
@@ -26,6 +26,7 @@ def ilu0(A: CSRMatrix, *, diag_guard: bool = True) -> ILUFactors:
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"ILU(0) requires a square matrix, got {A.shape}")
+    assert_finite(A.data, where="ilu0 input")
 
     w = SparseRowAccumulator(n)
     u_rows: list[tuple[np.ndarray, np.ndarray]] = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..resilience import ZeroPivotError
+from ..resilience import ZeroPivotError, assert_finite
 from ..sparse import COOBuilder, CSRMatrix, SparseRowAccumulator
 from .factors import ILUFactors
 
@@ -75,6 +75,7 @@ def iluk(A: CSRMatrix, k: int, *, diag_guard: bool = True) -> ILUFactors:
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"ILU(k) requires a square matrix, got {A.shape}")
+    assert_finite(A.data, where="iluk input")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph import Graph, two_step_luby_mis
-from ..resilience import ZeroPivotError
+from ..resilience import ZeroPivotError, assert_finite
 from ..sparse import COOBuilder, CSRMatrix, SparseRowAccumulator
 from .dropping import keep_largest
 from .elimination import _merge_rows
@@ -50,6 +50,7 @@ def ilum(
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"ILUM requires a square matrix, got {A.shape}")
+    assert_finite(A.data, where="ilum input")
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     if t < 0:

@@ -376,19 +376,17 @@ def parallel_ilut_partitioned(
     *,
     reduced_cap: int | None = None,
     transport="simulator",
-    simulate: bool | None = None,
     seed: int = 0,
     **kwargs,
 ):
     """Parallel ILUT with the §7 partition-based interface factorization.
 
     Same signature spirit as :func:`repro.ilu.parallel.parallel_ilut`
-    (including the ``transport=`` backend selector and the deprecated
-    ``simulate=`` alias); returns a
+    (including the ``transport=`` backend selector); returns a
     :class:`~repro.ilu.parallel.ParallelILUResult`.
     """
     from ..decomp import decompose
-    from ..machine import CRAY_T3D, is_transport, resolve_entry_transport, transport_name
+    from ..machine import CRAY_T3D, is_transport, resolve_transport, transport_name
     from .parallel import ParallelILUResult
 
     model = kwargs.pop("model", CRAY_T3D)
@@ -398,9 +396,7 @@ def parallel_ilut_partitioned(
         raise TypeError(f"unexpected keyword arguments: {sorted(kwargs)}")
     if decomp is None:
         decomp = decompose(A, nranks, method=method, seed=seed)
-    sim = resolve_entry_transport(
-        "parallel_ilut_partitioned", transport, simulate, nranks, model=model
-    )
+    sim = resolve_transport(transport, nranks, model=model)
     owned = not is_transport(transport)
     try:
         engine = InterfacePartitionEngine(

@@ -24,10 +24,10 @@ from ..machine import (
     MachineModel,
     Transport,
     is_transport,
-    resolve_entry_transport,
+    resolve_transport,
     transport_name,
 )
-from ..resilience import ZeroPivotError
+from ..resilience import ZeroPivotError, assert_finite
 from ..sparse import COOBuilder, CSRMatrix, SparseRowAccumulator
 from .factors import ILUFactors, LevelStructure
 from .parallel import ParallelILUResult
@@ -65,7 +65,6 @@ def parallel_ilu0(
     *,
     model: MachineModel = CRAY_T3D,
     transport: str | Transport | None = "simulator",
-    simulate: bool | None = None,
     decomp: DomainDecomposition | None = None,
     method: str = "multilevel",
     seed: int = 0,
@@ -82,18 +81,18 @@ def parallel_ilu0(
     ILUT does not.  ``faults`` / ``supervision`` behave as in
     :func:`~repro.ilu.parallel.parallel_ilut`: real transports honour
     the portable fault subset and recover by supervised region retry
-    (DESIGN.md §14).
+    (DESIGN.md §14).  NaN or Inf input raises
+    :class:`~repro.resilience.NonFiniteError`.
     """
+    assert_finite(A.data, where="parallel_ilu0 input")
     if decomp is None:
         decomp = decompose(A, nranks, method=method, seed=seed)
     elif decomp.nranks != nranks:
         raise ValueError(
             f"decomp has {decomp.nranks} ranks but nranks={nranks} was requested"
         )
-    sim = resolve_entry_transport(
-        "parallel_ilu0",
+    sim = resolve_transport(
         transport,
-        simulate,
         nranks,
         model=model,
         faults=faults,

@@ -34,7 +34,7 @@ from ..machine import (
     MachineModel,
     Transport,
     is_transport,
-    resolve_entry_transport,
+    resolve_transport,
     transport_name,
 )
 from .factors import ILUFactors
@@ -216,7 +216,6 @@ def parallel_triangular_solve(
     nranks: int | None = None,
     model: MachineModel = CRAY_T3D,
     transport: str | Transport | None = "simulator",
-    simulate: bool | None = None,
     trace: bool = False,
     backend: str | None = None,
     faults: FaultPlan | None = None,
@@ -239,9 +238,7 @@ def parallel_triangular_solve(
 
     ``transport`` selects the execution backend (``"simulator"`` |
     ``"threads"`` | ``"processes"`` | ``"none"`` | a ready
-    :class:`~repro.machine.Transport`); the deprecated ``simulate=``
-    boolean maps ``True`` to ``"simulator"`` and ``False`` to
-    ``"none"`` under a :class:`DeprecationWarning`.
+    :class:`~repro.machine.Transport`).
 
     ``faults`` arms a :class:`~repro.faults.FaultPlan`: on the simulator
     message-level faults surface as :class:`~repro.faults.MessageLost` /
@@ -269,10 +266,8 @@ def parallel_triangular_solve(
         raise ValueError(f"b has shape {b.shape}, expected ({n},)")
     if nranks is None:
         nranks = int(owner.max()) + 1 if owner.size else 1
-    sim = resolve_entry_transport(
-        "parallel_triangular_solve",
+    sim = resolve_transport(
         transport,
-        simulate,
         nranks,
         model=model,
         trace=trace,

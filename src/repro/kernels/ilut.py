@@ -56,7 +56,6 @@ def ilut_vectorized(
     m: int,
     t: float,
     *,
-    diag_guard: bool = True,
     pivot_policy: PivotPolicy | None = None,
 ) -> tuple[CSRMatrix, CSRMatrix, list[tuple[np.ndarray, np.ndarray]], int]:
     """Core of the vectorized ILUT(m, t) elimination.
@@ -64,12 +63,12 @@ def ilut_vectorized(
     Returns ``(L, U, u_rows, flops)`` with ``u_rows`` holding each U row
     diagonal-first; parameter validation and the
     :class:`~repro.ilu.factors.ILUFactors` packaging stay in the
-    dispatching :func:`repro.ilu.ilut.ilut`.  ``pivot_policy`` overrides
-    the legacy ``diag_guard`` boolean when given; the pivot remediation
-    must match the reference kernel's bit-for-bit (same
+    dispatching :func:`repro.ilu.ilut.ilut`.  ``pivot_policy`` defaults
+    to ``PivotPolicy("guard")``; the pivot remediation must match the
+    reference kernel's bit-for-bit (same
     :meth:`~repro.resilience.PivotPolicy.resolve` arguments).
     """
-    policy = pivot_policy if pivot_policy is not None else PivotPolicy.from_diag_guard(diag_guard)
+    policy = pivot_policy if pivot_policy is not None else PivotPolicy()
     n = A.shape[0]
     # thresholds must match the reference bit-for-bit under any default
     norms = A.row_norms(ord=2, backend="reference")

@@ -95,7 +95,6 @@ _TRANSPORT_CTORS = frozenset(
         "ProcessTransport",
         "LocalTransport",
         "resolve_transport",
-        "resolve_entry_transport",
     }
 )
 

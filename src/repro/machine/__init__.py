@@ -33,7 +33,6 @@ from .transport import (
     WorkerCrashed,
     WorkerHung,
     is_transport,
-    resolve_entry_transport,
     resolve_transport,
     transport_name,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "unportable_faults",
     "is_transport",
     "resolve_transport",
-    "resolve_entry_transport",
     "transport_name",
     "TRANSPORT_NAMES",
 ]

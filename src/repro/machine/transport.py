@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
@@ -88,14 +87,13 @@ __all__ = [
     "TransportSnapshot",
     "is_transport",
     "resolve_transport",
-    "resolve_entry_transport",
     "transport_name",
     "TRANSPORT_NAMES",
 ]
 
 #: The spellings ``resolve_transport`` accepts as strings.  ``"none"``
 #: (or ``None``) runs the identical algorithm with no transport at all —
-#: the old ``simulate=False`` fast path used heavily in tests.
+#: the accounting-free fast path used heavily in tests.
 TRANSPORT_NAMES = ("simulator", "threads", "processes", "none")
 
 
@@ -600,7 +598,7 @@ def resolve_transport(
         ``"simulator"`` | ``"threads"`` | ``"processes"`` | ``"none"`` |
         ``None`` | a ready :class:`Transport` / ``Simulator`` instance.
         ``"none"``/``None`` returns ``None`` — run the identical
-        algorithm with no transport (the legacy ``simulate=False``).
+        algorithm with no transport.
     nranks:
         Rank count a string spec is instantiated with; an instance must
         already match it.
@@ -720,49 +718,3 @@ def resolve_transport(
             "construct Simulator(nranks, model, trace=True) and pass that"
         )
     return spec
-
-
-def resolve_entry_transport(
-    func_name: str,
-    transport: object,
-    simulate: "bool | None",
-    nranks: int,
-    *,
-    model: MachineModel = CRAY_T3D,
-    trace: bool = False,
-    faults: "FaultPlan | None" = None,
-    copy_payloads: bool = False,
-    supervision: "SupervisionPolicy | None" = None,
-    stacklevel: int = 3,
-):
-    """Entry-point shim shared by every ``transport=`` driver.
-
-    Handles the deprecated ``simulate=`` boolean: ``simulate=True`` maps
-    to ``transport="simulator"`` and ``simulate=False`` to
-    ``transport="none"``, each under a :class:`DeprecationWarning`.
-    Passing both spellings (with a non-default ``transport``) raises
-    ``TypeError``.  Everything else defers to :func:`resolve_transport`.
-    """
-    if simulate is not None:
-        if not (isinstance(transport, str) and transport == "simulator"):
-            raise TypeError(
-                f"{func_name}() got both the deprecated simulate= and "
-                "transport=; pass only transport="
-            )
-        warnings.warn(
-            f"{func_name}(simulate=...) is deprecated; pass "
-            "transport='simulator' (simulate=True) or transport='none' "
-            "(simulate=False) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        transport = "simulator" if simulate else "none"
-    return resolve_transport(
-        transport,
-        nranks,
-        model=model,
-        trace=trace,
-        faults=faults,
-        copy_payloads=copy_payloads,
-        supervision=supervision,
-    )

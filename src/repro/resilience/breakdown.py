@@ -109,9 +109,8 @@ class PivotPolicy:
     mode:
         ``"guard"`` — substitute the historical fallback pivot (the drop
         threshold ``tau`` if positive, else the row norm, else 1.0);
-        bit-exact with the legacy ``diag_guard=True`` behaviour.
-        ``"raise"`` — raise :class:`ZeroPivotError` (legacy
-        ``diag_guard=False``, but typed).
+        the default of every ILUT entry point.
+        ``"raise"`` — raise :class:`ZeroPivotError`.
         ``"shift"`` — replace the pivot by a sign-preserving
         threshold-scaled perturbation ``±shift_scale * max(tau,
         sqrt(eps)) * rownorm`` (à la Bollhöfer), so the factor stays
@@ -120,7 +119,7 @@ class PivotPolicy:
         Pivots with ``|diag| <= breakdown_tol * rownorm`` are treated as
         broken down in addition to exact zeros.  The default ``0.0``
         triggers on exact zeros only — required for bit-exactness with
-        the legacy guard.
+        the historical guard.
     shift_scale:
         Multiplier on the ``"shift"`` perturbation magnitude.
     """
@@ -145,11 +144,6 @@ class PivotPolicy:
         self.mode = mode
         self.breakdown_tol = float(breakdown_tol)
         self.shift_scale = float(shift_scale)
-
-    @classmethod
-    def from_diag_guard(cls, diag_guard: bool) -> "PivotPolicy":
-        """Map the legacy boolean switch onto a policy."""
-        return cls("guard" if diag_guard else "raise")
 
     def is_breakdown(self, diag: float, norm: float) -> bool:
         if diag == 0.0 or math.isnan(diag):

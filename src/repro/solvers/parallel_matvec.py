@@ -24,7 +24,7 @@ from ..machine import (
     MachineModel,
     Transport,
     is_transport,
-    resolve_entry_transport,
+    resolve_transport,
     transport_name,
 )
 from ..sparse import CSRMatrix
@@ -57,7 +57,6 @@ def parallel_matvec(
     *,
     model: MachineModel = CRAY_T3D,
     transport: str | Transport | None = "simulator",
-    simulate: bool | None = None,
     halo_plan: dict[tuple[int, int], np.ndarray] | None = None,
     trace: bool = False,
     backend: str | None = None,
@@ -78,9 +77,7 @@ def parallel_matvec(
 
     ``transport`` selects the execution backend (``"simulator"`` |
     ``"threads"`` | ``"processes"`` | ``"none"`` | a ready
-    :class:`~repro.machine.Transport`); the deprecated ``simulate=``
-    boolean maps ``True`` to ``"simulator"`` and ``False`` to
-    ``"none"`` under a :class:`DeprecationWarning`.
+    :class:`~repro.machine.Transport`).
 
     ``faults`` arms a :class:`~repro.faults.FaultPlan`; the simulator
     honours every fault kind (injected message faults surface as
@@ -100,10 +97,8 @@ def parallel_matvec(
     n = A.shape[0]
     if x.shape != (n,):
         raise ValueError(f"x has shape {x.shape}, expected ({n},)")
-    sim = resolve_entry_transport(
-        "parallel_matvec",
+    sim = resolve_transport(
         transport,
-        simulate,
         decomp.nranks,
         model=model,
         trace=trace,

@@ -50,14 +50,14 @@ class TestRCM:
 
     def test_rcm_helps_ilut_fill_on_shuffled_matrix(self, rng):
         """Lower bandwidth concentrates ILUT fill — the practical payoff."""
-        from repro.ilu import ilut
+        from repro.ilu import ILUTParams, ilut
 
         nx = 12
         A = poisson2d(nx)
         shuffle = rng.permutation(nx * nx)
         B = A.permute(shuffle, shuffle)
         n = B.shape[0]
-        fill_shuffled = ilut(B, n, 0.0).nnz
+        fill_shuffled = ilut(B, ILUTParams(fill=n, threshold=0.0)).nnz
         perm = rcm_ordering_matrix(B)
-        fill_rcm = ilut(B.permute(perm, perm), n, 0.0).nnz
+        fill_rcm = ilut(B.permute(perm, perm), ILUTParams(fill=n, threshold=0.0)).nnz
         assert fill_rcm < fill_shuffled

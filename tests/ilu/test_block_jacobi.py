@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.decomp import decompose
-from repro.ilu import block_jacobi_ilut, parallel_ilut
+from repro.ilu import ILUTParams, block_jacobi_ilut, parallel_ilut
 from repro.matrices import poisson2d
 from repro.solvers import gmres
 
@@ -52,7 +52,7 @@ class TestBlockJacobi:
         b = A @ np.ones(400)
         p = 16
         bj = block_jacobi_ilut(A, 10, 1e-4, p, seed=0, simulate=False)
-        full = parallel_ilut(A, 10, 1e-4, p, seed=0, simulate=False)
+        full = parallel_ilut(A, ILUTParams(fill=10, threshold=1e-4), p, seed=0, transport="none")
         n_bj = gmres(A, b, restart=20, M=bj, maxiter=8000).num_matvec
         n_full = gmres(
             A, b, restart=20, M=ILUPreconditioner(full.factors), maxiter=8000
@@ -65,7 +65,7 @@ class TestBlockJacobi:
         assert bj.modeled_factor_time > 0
         # factor time = slowest local ILUT, no messages — implied by the
         # modelled time being below the parallel ILUT's
-        full = parallel_ilut(A, 5, 1e-3, 4, seed=0)
+        full = parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3), 4, seed=0)
         assert bj.modeled_factor_time <= full.modeled_time
 
     def test_shape_check(self):

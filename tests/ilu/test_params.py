@@ -1,4 +1,4 @@
-"""ILUTParams validation and the legacy-keyword deprecation shims."""
+"""ILUTParams validation and the one calling convention of each ILUT entry point."""
 
 import dataclasses
 
@@ -12,18 +12,6 @@ from repro.ilu import ilut, parallel_ilut, parallel_ilut_star
 @pytest.fixture(scope="module")
 def A():
     return poisson2d(8)
-
-
-def factors_equal(fa, fb):
-    return all(
-        np.array_equal(x, y)
-        for x, y in [
-            (fa.L.data, fb.L.data),
-            (fa.L.indices, fb.L.indices),
-            (fa.U.data, fb.U.data),
-            (fa.U.indices, fb.U.indices),
-        ]
-    )
 
 
 class TestValidation:
@@ -65,62 +53,29 @@ class TestValidation:
         )
 
 
-class TestLegacyShims:
-    def test_ilut_legacy_warns_and_agrees(self, A):
-        new = ilut(A, ILUTParams(fill=5, threshold=1e-3))
-        with pytest.deprecated_call():
-            old = ilut(A, 5, 1e-3)
-        assert factors_equal(new, old)
-
-    def test_ilut_legacy_keyword_form(self, A):
-        with pytest.deprecated_call():
-            old = ilut(A, m=5, t=1e-3)
-        assert factors_equal(old, ilut(A, ILUTParams(fill=5, threshold=1e-3)))
-
-    def test_parallel_ilut_legacy_warns_and_agrees(self, A):
-        new = parallel_ilut(
-            A, ILUTParams(fill=5, threshold=1e-3), 4, seed=0, simulate=False
-        )
-        with pytest.deprecated_call():
-            old = parallel_ilut(A, 5, 1e-3, 4, seed=0, simulate=False)
-        assert factors_equal(new.factors, old.factors)
-
-    def test_parallel_ilut_star_legacy_warns_and_agrees(self, A):
-        new = parallel_ilut_star(
-            A, ILUTParams(fill=5, threshold=1e-3, k=2), 4, seed=0, simulate=False
-        )
-        with pytest.deprecated_call():
-            old = parallel_ilut_star(A, 5, 1e-3, 2, 4, seed=0, simulate=False)
-        assert factors_equal(new.factors, old.factors)
-
-    def test_warning_names_the_replacement(self, A):
-        with pytest.warns(DeprecationWarning, match="ILUTParams"):
-            ilut(A, 5, 1e-3)
-
-
 class TestCallingConventionErrors:
     def test_params_plus_legacy_conflict(self, A):
-        with pytest.raises(TypeError, match="both an ILUTParams and legacy"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'm'"):
             ilut(A, ILUTParams(fill=5, threshold=1e-3), m=5)
 
     def test_ilut_missing_arguments(self, A):
-        with pytest.raises(TypeError, match="requires an ILUTParams"):
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'params'"):
             ilut(A)
 
     def test_multiple_values_for_m(self, A):
-        with pytest.raises(TypeError, match="multiple values for 'm'"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'm'"):
             ilut(A, 5, 1e-3, m=5)
 
     def test_parallel_missing_nranks(self, A):
-        with pytest.raises(TypeError, match="missing required argument 'nranks'"):
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'nranks'"):
             parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3))
 
     def test_parallel_multiple_nranks(self, A):
-        with pytest.raises(TypeError, match="multiple values for 'nranks'"):
+        with pytest.raises(TypeError, match="multiple values for argument 'nranks'"):
             parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3), 4, nranks=4)
 
     def test_parallel_multiple_t(self, A):
-        with pytest.raises(TypeError, match="multiple values for 't'"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 't'"):
             parallel_ilut(A, 5, 1e-3, 4, t=1e-3)
 
     def test_star_requires_k(self, A):
@@ -128,20 +83,62 @@ class TestCallingConventionErrors:
             parallel_ilut_star(A, ILUTParams(fill=5, threshold=1e-3), 4)
 
     def test_star_new_style_rejects_extra_positionals(self, A):
-        with pytest.raises(TypeError, match="new style"):
+        with pytest.raises(TypeError, match="takes 3 positional arguments"):
             parallel_ilut_star(A, ILUTParams(fill=5, threshold=1e-3, k=2), 4, 2)
 
     def test_star_duplicate_legacy(self, A):
-        with pytest.raises(TypeError, match="duplicate legacy"):
+        with pytest.raises(TypeError, match="takes 3 positional arguments"):
             parallel_ilut_star(A, 5, 1e-3, 2, 4, k=2)
 
 
-class TestInternalCallersAreMigrated:
-    """Internal repro.* code must never hit the deprecation shim.
+def _spellings():
+    """Removed keyword spellings, keyed ``<entry point>-<keyword>``.
 
-    ``pyproject.toml`` escalates repro-attributed DeprecationWarnings to
-    errors, so driving the high-level entry points with new-style params
-    proves every internal call site was migrated.
+    The bare ``m, t[, k]`` forms are covered by TestCallingConventionErrors.
+    """
+    from repro.decomp import decompose
+    from repro.ilu import parallel_ilu0, parallel_ilut_partitioned, parallel_triangular_solve
+    from repro.solvers import parallel_matvec
+
+    A = poisson2d(6)
+    p = ILUTParams(fill=3, threshold=1e-3)
+    star = ILUTParams(fill=3, threshold=1e-3, k=2)
+    x = np.ones(A.shape[0])
+    return {
+        "ilut-diag_guard": lambda: ilut(A, p, diag_guard=False),
+        "parallel_ilut-simulate": lambda: parallel_ilut(A, p, 2, simulate=False),
+        "parallel_ilut-diag_guard": lambda: parallel_ilut(A, p, 2, diag_guard=True),
+        "parallel_ilut-checkpoint": lambda: parallel_ilut(A, p, 2, checkpoint=True),
+        "parallel_ilut_star-simulate": lambda: parallel_ilut_star(A, star, 2, simulate=True),
+        "parallel_ilut_partitioned-simulate": lambda: parallel_ilut_partitioned(
+            A, 3, 1e-3, 2, simulate=False
+        ),
+        "parallel_ilu0-simulate": lambda: parallel_ilu0(A, 2, simulate=False),
+        "parallel_matvec-simulate": lambda: parallel_matvec(
+            A, decompose(A, 2, seed=0), x, simulate=False
+        ),
+        "parallel_triangular_solve-simulate": lambda: parallel_triangular_solve(
+            parallel_ilut(A, p, 2, transport="none").factors, x, simulate=True
+        ),
+    }
+
+
+class TestOneSpelling:
+    """Each decision has one spelling; the removed aliases are rejected."""
+
+    @pytest.mark.parametrize("case", sorted(_spellings()))
+    def test_removed_keyword_is_a_type_error(self, case):
+        keyword = case.split("-")[1]
+        with pytest.raises(TypeError, match=f"unexpected keyword argument.*{keyword}"):
+            _spellings()[case]()
+
+
+class TestInternalCallersAreMigrated:
+    """Internal repro.* code calls the entry points in their one spelling.
+
+    A bare ``m, t`` pair is a ``TypeError`` now, so driving the
+    high-level entry points end to end proves every internal call site
+    passes an :class:`ILUTParams`.
     """
 
     def test_block_jacobi(self, A):

@@ -47,8 +47,8 @@ class TestTriangularSolveParity:
     def test_nosim_path(self, star_result):
         A, r = star_result
         b = np.cos(np.arange(A.shape[0]))
-        s0 = parallel_triangular_solve(r.factors, b, simulate=False, backend="reference")
-        s1 = parallel_triangular_solve(r.factors, b, simulate=False, backend="vectorized")
+        s0 = parallel_triangular_solve(r.factors, b, transport="none", backend="reference")
+        s1 = parallel_triangular_solve(r.factors, b, transport="none", backend="vectorized")
         assert s0.modeled_time is None and s1.modeled_time is None
         scale = np.max(np.abs(s0.x)) or 1.0
         assert np.max(np.abs(s0.x - s1.x)) / scale <= 1e-12
@@ -59,7 +59,7 @@ class TestTriangularSolveParity:
             parallel_triangular_solve(
                 r.factors,
                 np.ones(A.shape[0]),
-                simulate=False,
+                transport="none",
                 trace=True,
                 backend="vectorized",
             )

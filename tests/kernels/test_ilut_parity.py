@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ILUTParams, poisson2d, torso_like
+from repro import ILUTParams, PivotPolicy, poisson2d, torso_like
 from repro.ilu import ilut
 from repro.matrices import random_diag_dominant
 from repro.sparse import CSRMatrix
@@ -60,8 +60,8 @@ class TestSequentialParity:
     def test_diag_guard_off(self, small_diagdom):
         p = ILUTParams(fill=5, threshold=1e-2)
         assert_factors_bit_identical(
-            ilut(small_diagdom, p, backend="reference", diag_guard=False),
-            ilut(small_diagdom, p, backend="vectorized", diag_guard=False),
+            ilut(small_diagdom, p, backend="reference", pivot_policy=PivotPolicy("raise")),
+            ilut(small_diagdom, p, backend="vectorized", pivot_policy=PivotPolicy("raise")),
         )
 
     @settings(max_examples=25, deadline=None)
@@ -141,7 +141,7 @@ def assert_ilut_stats_present(f):
 
 def test_empty_matrix_edge_case():
     A = CSRMatrix.zeros(1)
-    # 1x1 all-zero: diag_guard substitutes a pivot, both backends agree
+    # 1x1 all-zero: the default guard policy substitutes a pivot, both backends agree
     p = ILUTParams(fill=2, threshold=1e-3)
     assert_factors_bit_identical(
         ilut(A, p, backend="reference"), ilut(A, p, backend="vectorized")

@@ -7,8 +7,7 @@ message/barrier counts.  The simulator fixes the reference semantics;
 these tests hold the real backends to it on the paper's G0 workload.
 
 Also covered: the ``transport=`` entry-point surface (string specs,
-ready instances, capability errors) and the ``simulate=`` deprecation
-shims.
+ready instances, capability errors).
 """
 
 import numpy as np
@@ -159,9 +158,19 @@ class TestSolveParity:
 class TestTransportSurface:
     def test_transport_field_round_trip(self):
         A = poisson2d(6)
+        d = decompose(A, 2, seed=0)
+        x = np.ones(A.shape[0])
         for t in ("simulator", "none"):
             r = parallel_ilut(A, ILUTParams(fill=3, threshold=1e-3), 2, transport=t)
-            assert r.transport == t
+            results = [
+                r,
+                parallel_ilut_partitioned(A, 3, 1e-3, 2, transport=t),
+                parallel_matvec(A, d, x, transport=t),
+                parallel_triangular_solve(r.factors, x, transport=t),
+            ]
+            for res in results:
+                assert res.transport == t
+                assert (res.modeled_time is None) == (t == "none")
 
     def test_instance_spec(self):
         A = poisson2d(6)
@@ -222,64 +231,6 @@ class TestCapabilityBoundary:
         sim = Simulator(2, CRAY_T3D)
         with pytest.raises(TransportCapabilityError):
             resolve_transport(sim, 2, model=CRAY_T3D, faults=plan)
-
-
-class TestDeprecationShims:
-    """simulate= keeps working, warns, and maps onto transport=."""
-
-    A = poisson2d(6)
-    params = ILUTParams(fill=3, threshold=1e-3)
-
-    def test_simulate_true_is_simulator(self):
-        with pytest.warns(DeprecationWarning, match="simulate"):
-            r = parallel_ilut(self.A, self.params, 2, simulate=True)
-        assert r.transport == "simulator"
-        assert r.modeled_time is not None
-
-    def test_simulate_false_is_none(self):
-        with pytest.warns(DeprecationWarning, match="simulate"):
-            r = parallel_ilut(self.A, self.params, 2, simulate=False)
-        assert r.transport == "none"
-        assert r.modeled_time is None
-
-    def test_shim_is_bit_identical_to_new_spelling(self):
-        new = parallel_ilut(self.A, self.params, 2, transport="simulator")
-        with pytest.warns(DeprecationWarning):
-            old = parallel_ilut(self.A, self.params, 2, simulate=True)
-        _assert_same_factors(old, new)
-        assert old.modeled_time == new.modeled_time
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(TypeError, match="both"):
-            parallel_ilut(
-                self.A, self.params, 2, simulate=True, transport="none"
-            )
-
-    def test_star_shim_warns_at_caller(self):
-        from repro.ilu import parallel_ilut_star
-
-        with pytest.warns(DeprecationWarning, match="parallel_ilut_star"):
-            r = parallel_ilut_star(
-                self.A, ILUTParams(fill=3, threshold=1e-3, k=2), 2,
-                simulate=False,
-            )
-        assert r.transport == "none"
-
-    def test_matvec_and_trisolve_shims(self):
-        d = decompose(self.A, 2, seed=0)
-        x = np.ones(self.A.shape[0])
-        with pytest.warns(DeprecationWarning, match="parallel_matvec"):
-            mv = parallel_matvec(self.A, d, x, simulate=False)
-        assert mv.transport == "none"
-        factors = parallel_ilut(self.A, self.params, 2, transport="none").factors
-        with pytest.warns(DeprecationWarning, match="parallel_triangular_solve"):
-            s = parallel_triangular_solve(factors, x, simulate=True)
-        assert s.transport == "simulator"
-
-    def test_partitioned_shim(self):
-        with pytest.warns(DeprecationWarning, match="parallel_ilut_partitioned"):
-            r = parallel_ilut_partitioned(self.A, 3, 1e-3, 2, simulate=False)
-        assert r.transport == "none"
 
 
 class TestThreadTransportPrimitives:

@@ -37,13 +37,13 @@ class TestUtilization:
 
     def test_factorization_utilization_drops_with_p(self):
         """More ranks → more synchronisation overhead per rank."""
-        from repro.ilu import parallel_ilut
+        from repro.ilu import ILUTParams, parallel_ilut
         from repro.matrices import poisson2d
 
         A = poisson2d(16)
         u = {}
         for p in (2, 8):
-            r = parallel_ilut(A, 10, 1e-6, p, seed=0)
+            r = parallel_ilut(A, ILUTParams(fill=10, threshold=1e-6), p, seed=0)
             # recompute utilization through comm stats proxy: busy share
             # = per-rank flop time / elapsed
             busy = np.asarray(r.comm.per_rank_flops) * CRAY_T3D.flop_time

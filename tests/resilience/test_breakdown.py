@@ -1,10 +1,19 @@
 """Unit tests for the breakdown hierarchy, pivot policies and the
-apply-boundary finiteness guard."""
+finiteness guards at the factorization entry and apply boundaries."""
 
 import numpy as np
 import pytest
 
-from repro.ilu import ILUTParams, ilut
+from repro.ilu import (
+    ILUTParams,
+    ilu0,
+    iluk,
+    ilum,
+    ilut,
+    parallel_ilu0,
+    parallel_ilut,
+    parallel_ilut_star,
+)
 from repro.matrices import poisson2d
 from repro.resilience import (
     NonFiniteError,
@@ -56,6 +65,52 @@ class TestAssertFinite:
             assert_finite(np.array([0.0, np.nan]))
 
 
+def _corrupted(entry):
+    """poisson2d(4) with a NaN on the (0,0) diagonal or an Inf at (0,1)."""
+    A = poisson2d(4)
+    col, value = (0, np.nan) if entry == "nan-diagonal" else (1, np.inf)
+    data = A.data.copy()
+    data[A.indptr[0] + int(np.flatnonzero(A.row(0)[0] == col)[0])] = value
+    return CSRMatrix(A.indptr, A.indices, data, A.shape)
+
+
+ENTRIES = ["nan-diagonal", "inf-off-diagonal"]
+
+
+class TestNonFiniteInput:
+    """Every factorization refuses NaN/Inf input instead of guarding it away."""
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            lambda A: ilut(A, ILUTParams(fill=5, threshold=1e-3)),
+            ilu0,
+            lambda A: iluk(A, 1),
+            lambda A: ilum(A, 5, 1e-3),
+        ],
+        ids=["ilut", "ilu0", "iluk", "ilum"],
+    )
+    def test_sequential(self, factor, entry):
+        with pytest.raises(NonFiniteError, match="input"):
+            factor(_corrupted(entry))
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            lambda A, p: parallel_ilut(A, ILUTParams(fill=5, threshold=1e-3), p),
+            lambda A, p: parallel_ilut_star(A, ILUTParams(fill=5, threshold=1e-3, k=2), p),
+            parallel_ilu0,
+        ],
+        ids=["parallel_ilut", "parallel_ilut_star", "parallel_ilu0"],
+    )
+    def test_parallel(self, factor, p, entry):
+        with pytest.raises(NonFiniteError, match="input"):
+            factor(_corrupted(entry), p)
+
+
 class TestPivotPolicy:
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="unknown pivot policy"):
@@ -93,10 +148,6 @@ class TestPivotPolicy:
     def test_nan_pivot_is_breakdown(self):
         assert PivotPolicy("guard").is_breakdown(float("nan"), 1.0)
 
-    def test_from_diag_guard(self):
-        assert PivotPolicy.from_diag_guard(True).mode == "guard"
-        assert PivotPolicy.from_diag_guard(False).mode == "raise"
-
 
 def _singular_arrow(n=6):
     """A matrix whose elimination annihilates the last pivot exactly."""
@@ -110,6 +161,7 @@ def _singular_arrow(n=6):
 
 class TestPolicyInILUT:
     def test_guard_policy_matches_diag_guard_factors(self):
+        """The default pivot handling is PivotPolicy("guard"), bit for bit."""
         A = poisson2d(8)
         params = ILUTParams(fill=5, threshold=1e-3)
         f1 = ilut(A, params)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ilu import ilut
+from repro.ilu import ILUTParams, ilut
 from repro.matrices import poisson2d
 from repro.solvers import DiagonalPreconditioner, ILUPreconditioner, cg
 
@@ -49,7 +49,9 @@ class TestPreconditioning:
         A = poisson2d(16)
         b = rng.standard_normal(256)
         plain = cg(A, b, maxiter=4000)
-        pre = cg(A, b, M=ILUPreconditioner(ilut(A, 10, 1e-4)), maxiter=4000)
+        pre = cg(A, b, M=ILUPreconditioner(ilut(
+            A, ILUTParams(fill=10, threshold=1e-4)
+        )), maxiter=4000)
         assert pre.converged
         assert pre.iterations < plain.iterations
 
