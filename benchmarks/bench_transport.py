@@ -1,8 +1,8 @@
-"""Transport wall-clock harness: simulator vs threads vs processes.
+"""Transport wall-clock harness: simulator vs threads.
 
 Times the two ends of the preconditioned pipeline — ILUT factorization
-and the level-scheduled triangular solve — at ranks 1/2/4 on every
-transport backend, verifies the cross-transport bit-identity contract
+and the level-scheduled triangular solve — at ranks 1/2/4 on both
+transport backends, verifies the cross-transport bit-identity contract
 (DESIGN.md §13) on each configuration, and writes the results to
 ``BENCH_transport.json`` at the repo root.
 
@@ -12,12 +12,12 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_transport.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/bench_transport.py --quick --check
 
-``--check`` exits nonzero if any transport diverges from the simulator's
-factors or solution bits (the CI guard for the parity contract).  The
-wall-clock columns themselves are reported, not asserted: on one host at
-these rank counts the real transports pay their coordination overhead
-without any extra hardware, so the interesting number is the *price* of
-real workers, not a speedup.
+``--check`` exits nonzero if the thread transport diverges from the
+simulator's factors or solution bits (the CI guard for the parity
+contract).  The wall-clock columns themselves are reported, not
+asserted: on one host at these rank counts the worker threads pay their
+coordination overhead without any extra hardware, so the interesting
+number is the *price* of real workers, not a speedup.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ from repro.machine import SupervisionPolicy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-TRANSPORTS = ("simulator", "threads", "processes")
+TRANSPORTS = ("simulator", "threads")
 RANKS = (1, 2, 4)
 
 #: supervision must cost < 5% on the no-fault path.  The absolute slack
-#: floor absorbs fork-timing noise on short runs (quick mode factors in
-#: ~1s with run-to-run swings of ~10%); on full-size runs the ratio gate
+#: floor absorbs timing noise on short runs (quick mode factors in ~1s
+#: with run-to-run swings of ~10%); on full-size runs the ratio gate
 #: dominates.
 OVERHEAD_RATIO_MAX = 1.05
 OVERHEAD_ABS_SLACK_S = 0.25
@@ -101,8 +101,8 @@ def run(nx: int, repeat: int) -> dict:
                 ),
                 repeat,
             )
-            # real transports measure wall clock only: they run actual
-            # workers, so there is no modeled time to report.  The marker
+            # threads measure wall clock only: they run actual workers,
+            # so there is no modeled time to report.  The marker
             # is what downstream checks key on — not the null fields.
             wall_only = name != "simulator"
             rows.append(
@@ -144,50 +144,47 @@ def supervision_overhead(A, params, repeat: int) -> list[dict]:
 
     Times the factorization with the default supervision policy (polled
     collection, deadlines, heartbeats armed) against a policy with the
-    deadline disabled (legacy blocking collection) on each real
-    transport.  The supervised path must stay within
+    deadline disabled (blocking collection) on the thread transport.
+    The supervised path must stay within
     ``OVERHEAD_RATIO_MAX`` of the unsupervised one — with an absolute
     slack floor so millisecond-scale runs don't flake the gate.
     """
     p = RANKS[-1]
     unsupervised = SupervisionPolicy(deadline=None)
-    out: list[dict] = []
-    for name in ("threads", "processes"):
-        # interleave the two configurations so load drift hits both alike
-        t_sup = float("inf")
-        t_raw = float("inf")
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            parallel_ilut(A, params, p, seed=0, transport=name)
-            t_sup = min(t_sup, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            parallel_ilut(
-                A, params, p, seed=0, transport=name, supervision=unsupervised
-            )
-            t_raw = min(t_raw, time.perf_counter() - t0)
-        ratio = t_sup / t_raw if t_raw > 0 else 1.0
-        ok = ratio <= OVERHEAD_RATIO_MAX or (t_sup - t_raw) <= OVERHEAD_ABS_SLACK_S
-        out.append(
-            {
-                "transport": name,
-                "ranks": p,
-                "supervised_wall_s": t_sup,
-                "unsupervised_wall_s": t_raw,
-                "overhead_ratio": ratio,
-                "ok": ok,
-            }
+    # interleave the two configurations so load drift hits both alike
+    t_sup = float("inf")
+    t_raw = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        parallel_ilut(A, params, p, seed=0, transport="threads")
+        t_sup = min(t_sup, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        parallel_ilut(
+            A, params, p, seed=0, transport="threads", supervision=unsupervised
         )
-        print(
-            f"p={p} {name:<10} supervised {t_sup:8.4f}s  "
-            f"unsupervised {t_raw:8.4f}s  ratio {ratio:5.3f}"
-        )
-    return out
+        t_raw = min(t_raw, time.perf_counter() - t0)
+    ratio = t_sup / t_raw if t_raw > 0 else 1.0
+    ok = ratio <= OVERHEAD_RATIO_MAX or (t_sup - t_raw) <= OVERHEAD_ABS_SLACK_S
+    print(
+        f"p={p} threads     supervised {t_sup:8.4f}s  "
+        f"unsupervised {t_raw:8.4f}s  ratio {ratio:5.3f}"
+    )
+    return [
+        {
+            "transport": "threads",
+            "ranks": p,
+            "supervised_wall_s": t_sup,
+            "unsupervised_wall_s": t_raw,
+            "overhead_ratio": ratio,
+            "ok": ok,
+        }
+    ]
 
 
 def modeled_mismatches(rows: list[dict]) -> list[str]:
     """Modeled-time sanity over the result rows.
 
-    Rows from real transports are skipped by their explicit
+    Rows from the thread transport are skipped by their explicit
     ``wall_only`` marker — not by sniffing for null modeled fields, so
     a simulator row that *lost* its modeled numbers is an error rather
     than silently passing as "real transport".
@@ -211,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero if any transport diverges from the simulator bits",
+        help="exit nonzero if threads diverge from the simulator bits",
     )
     ap.add_argument(
         "--output",
@@ -232,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"PARITY FAILURE: {m}", file=sys.stderr)
         failed = True
     elif args.check:
-        print("parity check passed: all transports bit-identical to simulator")
+        print("parity check passed: threads bit-identical to simulator")
     modeled_bad = modeled_mismatches(doc["rows"])
     if modeled_bad:
         for m in modeled_bad:

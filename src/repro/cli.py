@@ -187,9 +187,9 @@ def _cmd_check_fault(args: argparse.Namespace) -> int:
     Returns 0 when the resilience layer recovered (bit-identical factors
     after a rank crash/stall, message drop or corrupted result;
     fallback-chain detection and convergence after a NaN corruption) and
-    1 otherwise.  ``--transport threads|processes`` runs the portable
-    modes against real workers, where recovery is the supervised region
-    retry of DESIGN.md §14 instead of the simulator's checkpoint
+    1 otherwise.  ``--transport threads`` runs the portable modes
+    against real worker threads, where recovery is the supervised
+    region retry of DESIGN.md §14 instead of the simulator's checkpoint
     restart; the baseline it must match bit-for-bit runs on the same
     transport.
     """
@@ -213,7 +213,7 @@ def _cmd_check_fault(args: argparse.Namespace) -> int:
             print(msg)
 
     if args.inject == "message-drop" and transport != "simulator":
-        say("message-drop is not portable: a real transport cannot lose a "
+        say("message-drop is not portable: the thread transport cannot lose a "
             "region result in a recoverable way; run it on the simulator "
             "or pick rank-crash / rank-stall / corrupt-result")
         doc.update({"ok": False, "error": "unportable fault mode"})
@@ -250,7 +250,7 @@ def _cmd_check_fault(args: argparse.Namespace) -> int:
         else:  # corrupt-result
             plan = FaultPlan(message_faults=[MessageFault("corrupt", tag="urow")])
             say("injected: corrupted one interface-row exchange "
-                "(a worker's result frame on real transports)")
+                "(a worker's region result on threads)")
         res = factor(
             A, params, args.procs, seed=args.seed, faults=plan,
             transport=transport, supervision=supervision,
@@ -477,10 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fact.add_argument("--seed", type=int, default=0)
     p_fact.add_argument(
         "--transport",
-        choices=("simulator", "threads", "processes", "none"),
+        choices=("simulator", "threads", "none"),
         default="simulator",
-        help="execution backend for the parallel regions (factors are "
-        "bit-identical across all of them)",
+        help="execution backend for the parallel regions: the simulator, "
+        "real worker threads, or no transport (factors are bit-identical "
+        "across all three)",
     )
     p_fact.set_defaults(func=_cmd_factor)
 
@@ -495,9 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument(
         "--transport",
-        choices=("simulator", "threads", "processes", "none"),
+        choices=("simulator", "threads", "none"),
         default="simulator",
-        help="execution backend for every stage of the pipeline",
+        help="execution backend for every stage of the pipeline: the "
+        "simulator, real worker threads, or no transport",
     )
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -523,10 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--transport",
-        choices=("simulator", "threads", "processes"),
+        choices=("simulator", "threads"),
         default="simulator",
         help="execution backend for the fault modes: the simulator "
-        "recovers by checkpoint restart, threads/processes by "
+        "recovers by checkpoint restart, threads by "
         "supervised region retry (DESIGN.md §14); structural modes "
         "always replay on the simulator",
     )

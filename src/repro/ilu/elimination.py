@@ -26,8 +26,8 @@ Phase 2 (iterative, level-synchronised)
 
 All communication and computation flows through a
 :class:`~repro.machine.transport.Transport` when one is supplied
-(the cost-model :class:`~repro.machine.Simulator`, or a real
-:class:`~repro.machine.ThreadTransport` / :class:`~repro.machine.ProcessTransport`);
+(the cost-model :class:`~repro.machine.Simulator`, or the real-worker
+:class:`~repro.machine.ThreadTransport`);
 passing ``sim=None`` executes the identical algorithm without any
 transport (used by tests to confirm the transports never change
 numerics).
@@ -150,10 +150,9 @@ class EliminationEngine:
     sim:
         Optional transport the elimination runs against: the cost-model
         :class:`~repro.machine.Simulator` (charged exactly as before) or
-        a real :class:`~repro.machine.ThreadTransport` /
-        :class:`~repro.machine.ProcessTransport` whose parallel regions
+        a :class:`~repro.machine.ThreadTransport` whose parallel regions
         genuinely execute the per-rank thunks concurrently.  Factors are
-        bit-identical across all of them.
+        bit-identical across both and with no transport.
     mis_rounds:
         Luby augmentation rounds per independent set (paper uses 5).
     seed:

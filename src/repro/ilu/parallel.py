@@ -62,11 +62,11 @@ class ParallelILUResult:
         run with a ``faults=`` plan (``None`` otherwise).
     recoveries:
         Recovery actions performed during the factorization: engine
-        checkpoint rollbacks plus supervised region retries on a real
-        transport (DESIGN.md §14).
+        checkpoint rollbacks plus supervised region retries on the
+        thread transport (DESIGN.md §14).
     transport:
-        Which transport executed the run (``"simulator"``, ``"threads"``,
-        ``"processes"`` or ``"none"``).
+        Which transport executed the run (``"simulator"``, ``"threads"``
+        or ``"none"``).
     """
 
     factors: ILUFactors
@@ -130,8 +130,8 @@ def parallel_ilut(
     transport:
         Execution backend for the parallel regions — ``"simulator"``
         (default; modelled clocks, the deterministic oracle),
-        ``"threads"`` / ``"processes"`` (real workers, bit-identical
-        factors), ``"none"`` (no accounting at all; fastest, used
+        ``"threads"`` (real worker threads, bit-identical factors),
+        ``"none"`` (no accounting at all; fastest, used
         heavily in tests), or a ready
         :class:`~repro.machine.Transport` instance.
     decomp:
@@ -153,7 +153,7 @@ def parallel_ilut(
         A seeded :class:`~repro.faults.FaultPlan` to inject faults into
         the run; the journal lands in
         ``ParallelILUResult.fault_journal``.  The simulator honours
-        every fault kind; the real transports honour the portable
+        every fault kind; the thread transport honours the portable
         subset — crash / stall rank faults and corrupt message faults
         (as corrupt-result) — and recover by supervised region retry
         (DESIGN.md §14).  Unportable kinds raise
@@ -163,7 +163,7 @@ def parallel_ilut(
     supervision:
         A :class:`~repro.machine.SupervisionPolicy` tuning the worker
         supervisor (deadline, poll interval, region retry budget) —
-        real transports only.
+        ``transport="threads"`` only.
     backend:
         Kernel backend for the elimination inner loops (bit-identical
         results); ``None`` uses the process default.

@@ -79,8 +79,8 @@ def parallel_ilu0(
     are the colour classes of the interface graph, computed *before* the
     numeric factorization — the concurrency structure ILU(0) admits and
     ILUT does not.  ``faults`` / ``supervision`` behave as in
-    :func:`~repro.ilu.parallel.parallel_ilut`: real transports honour
-    the portable fault subset and recover by supervised region retry
+    :func:`~repro.ilu.parallel.parallel_ilut`: threads honour the
+    portable fault subset and recover by supervised region retry
     (DESIGN.md §14).  NaN or Inf input raises
     :class:`~repro.resilience.NonFiniteError`.
     """

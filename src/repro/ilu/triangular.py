@@ -237,16 +237,16 @@ def parallel_triangular_solve(
     and ``x`` agrees to roundoff.
 
     ``transport`` selects the execution backend (``"simulator"`` |
-    ``"threads"`` | ``"processes"`` | ``"none"`` | a ready
+    ``"threads"`` | ``"none"`` | a ready
     :class:`~repro.machine.Transport`).
 
     ``faults`` arms a :class:`~repro.faults.FaultPlan`: on the simulator
     message-level faults surface as :class:`~repro.faults.MessageLost` /
-    :class:`~repro.faults.RankFailure`; on the real transports the
+    :class:`~repro.faults.RankFailure`; on threads the
     portable subset (crash / stall / corrupt-result) is injected at the
     worker level and recovered by supervised region retry — tune the
     supervisor with ``supervision=`` (a
-    :class:`~repro.machine.SupervisionPolicy`; real transports only).
+    :class:`~repro.machine.SupervisionPolicy`; threads only).
     The journal and the retry count are returned on the result.
 
     ``copy_payloads=True`` pickle round-trips every simulated message at

@@ -92,8 +92,6 @@ _TRANSPORT_CTORS = frozenset(
     {
         "Simulator",
         "ThreadTransport",
-        "ProcessTransport",
-        "LocalTransport",
         "resolve_transport",
     }
 )
@@ -342,7 +340,7 @@ def _merge(a: AbsType, b: AbsType) -> AbsType:
 def _annotation_type(ann: ast.expr) -> AbsType:
     name = dotted_name(ann)
     leaf = name.rsplit(".", 1)[-1] if name else ""
-    if leaf in ("Simulator", "Transport", "ThreadTransport", "ProcessTransport"):
+    if leaf in ("Simulator", "Transport", "ThreadTransport"):
         return AbsType("simulator")
     if leaf == "ndarray":
         return AbsType("ndarray")

@@ -1,19 +1,18 @@
 """Distributed-memory machine layer: the transport abstraction behind
 the SPMD drivers.
 
-Three interchangeable transports implement one contract (see
+Two interchangeable transports implement one contract (see
 ``transport.py`` / DESIGN.md §13): the cost-model :class:`Simulator`
 (per-rank virtual clocks, Cray T3D preset and others; the deterministic
-oracle and the only fault/race-instrumented backend), the
-:class:`ThreadTransport` (one worker thread per rank), and the
-:class:`ProcessTransport` (forked worker processes, shared-memory
-arrays).  ``resolve_transport`` maps the drivers' ``transport=``
-keyword onto an instance.
+oracle and the only fault/race-instrumented backend) and the
+:class:`ThreadTransport` (one supervised worker thread per rank, the
+real-worker backend).  ``resolve_transport`` maps the drivers'
+``transport=`` keyword onto an instance; ``"none"`` runs the same
+algorithm with no transport at all.
 """
 
 from .ledger import ChargeEvent, ChargeLedger
 from .model import CRAY_T3D, IDEAL, WORKSTATION_CLUSTER, MachineModel
-from .processes import ProcessTransport
 from .simulator import CommStats, Simulator, SimulatorSnapshot
 from .supervision import (
     PortableFaultRuntime,
@@ -24,7 +23,6 @@ from .threads import ThreadTransport
 from .transport import (
     SUPERVISED_FAILURES,
     TRANSPORT_NAMES,
-    LocalTransport,
     ResultUnpicklable,
     Transport,
     TransportCapabilityError,
@@ -48,9 +46,7 @@ __all__ = [
     "ChargeLedger",
     "SimulatorSnapshot",
     "Transport",
-    "LocalTransport",
     "ThreadTransport",
-    "ProcessTransport",
     "TransportError",
     "TransportCapabilityError",
     "TransportWorkerError",

@@ -134,7 +134,7 @@ class Simulator:
     contract (it predates the abstraction and is not a subclass).  It is
     the deterministic oracle of the transport family: the only backend
     carrying the cost model, fault injection and race tracing, and the
-    reference the real transports' results are bit-compared against.
+    reference the thread transport's results are bit-compared against.
     """
 
     #: transport-contract identity (see repro.machine.transport)
@@ -256,9 +256,8 @@ class Simulator:
         coordinator thread.  Combined with the drivers' read-shared /
         write-own discipline (a thunk returns its updates rather than
         mutating shared state), this fixes the reference semantics that
-        :class:`~repro.machine.threads.ThreadTransport` and
-        :class:`~repro.machine.processes.ProcessTransport` must
-        reproduce bit for bit.  Rank clocks are independent between
+        :class:`~repro.machine.threads.ThreadTransport` must reproduce
+        bit for bit.  Rank clocks are independent between
         synchronisation points, so sequential execution is
         indistinguishable from concurrent execution under the cost
         model; fault scheduling keys on the superstep clock, which a

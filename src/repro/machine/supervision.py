@@ -1,26 +1,26 @@
-"""Worker supervision for the real transports (DESIGN.md §14).
+"""Worker supervision for the thread transport (DESIGN.md §14).
 
-PR 8 put the certified SPMD drivers on real threads and processes; this
-module is the layer that makes worker failure a *first-class, typed,
-recoverable* event there instead of an indefinite hang or a bare string
+This module is the layer that makes worker failure on
+:class:`~repro.machine.threads.ThreadTransport` a *first-class, typed,
+recoverable* event instead of an indefinite hang or a bare string
 error.  Three pieces:
 
 :class:`SupervisionPolicy`
-    Frozen knobs for the region supervisor every
-    :class:`~repro.machine.transport.LocalTransport` ``pardo`` runs
-    under: a per-rank **deadline** (refreshved by heartbeats from
-    long-running thunks), the readiness **poll interval**, and the
-    bounded **region retry** budget.  ``deadline=None`` disables
-    supervision and restores the legacy blocking collection path — that
-    is the configuration the overhead benchmark compares against.
+    Frozen knobs for the region supervisor every thread-transport
+    ``pardo`` runs under: a per-rank **deadline** (refreshed by
+    heartbeats from long-running thunks), the readiness **poll
+    interval**, and the bounded **region retry** budget.
+    ``deadline=None`` disables supervision and restores the blocking
+    collection path — that is the configuration the overhead benchmark
+    compares against.
 
 The failure taxonomy
-    :class:`~repro.machine.transport.WorkerCrashed` (worker died:
-    exitcode / signal, remote traceback when one made it out),
+    :class:`~repro.machine.transport.WorkerCrashed` (the worker died on
+    an injected crash or a non-``Exception``),
     :class:`~repro.machine.transport.WorkerHung` (no result or
     heartbeat within the deadline) and
     :class:`~repro.machine.transport.ResultUnpicklable` (the result
-    could not cross the process boundary) — all under
+    could not be decoded) — all under
     :class:`~repro.machine.transport.TransportWorkerError`.  They are
     *defined* next to their base in ``transport.py`` and re-exported
     here; ``except`` clauses may use either spelling.  Only this
@@ -28,14 +28,14 @@ The failure taxonomy
     a thunk is the driver's business and re-raises unchanged.
 
 :class:`PortableFaultRuntime`
-    The real-transport twin of :class:`~repro.faults.plan.FaultRuntime`
+    The thread-transport twin of :class:`~repro.faults.plan.FaultRuntime`
     for the **portable subset** of a :class:`~repro.faults.FaultPlan`:
-    ``crash`` rank faults (child ``os._exit`` / thread exception),
-    ``stall`` rank faults (injected sleep — past the deadline it is a
-    hang), and ``corrupt`` message faults reinterpreted as
+    ``crash`` rank faults (the worker thread dies on an uncatchable
+    marker), ``stall`` rank faults (injected sleep — past the deadline
+    it is a hang), and ``corrupt`` message faults reinterpreted as
     *corrupt-result* (the rank's region result is replaced by an
-    undecodable blob).  Drop / delay / duplicate need the simulator's
-    virtual mailboxes and stay simulator-only —
+    undecodable payload).  Drop / delay / duplicate need the
+    simulator's virtual mailboxes and stay simulator-only —
     :func:`unportable_faults` is how ``resolve_transport`` rejects
     them with a typed error.  The same seeded plans therefore drive
     both the simulator oracle and real chaos tests.
@@ -84,9 +84,9 @@ __all__ = [
     "SUPERVISED_FAILURES",
 ]
 
-#: message-fault actions that port to real transports (as corrupt-result)
+#: message-fault actions that port to threads (as corrupt-result)
 PORTABLE_MESSAGE_ACTIONS = ("corrupt",)
-#: rank-fault actions that port to real transports
+#: rank-fault actions that port to threads
 PORTABLE_RANK_ACTIONS = ("crash", "stall")
 
 
@@ -99,8 +99,8 @@ class SupervisionPolicy:
     deadline:
         Seconds a rank may go without delivering its result *or* a
         heartbeat before it is declared :class:`WorkerHung`.  ``None``
-        disables deadlines and polling entirely (legacy blocking
-        collection; crashes are still classified).
+        disables deadlines and polling entirely (blocking collection;
+        crashes are still classified).
     poll_interval:
         Readiness-poll period of the supervised collection loop.
     region_retries:
@@ -108,20 +108,11 @@ class SupervisionPolicy:
         (crashed / hung / unpicklable worker) is re-executed from the
         coordinator's intact state before the error surfaces.  ``0``
         surfaces the first failure.
-    heartbeat_interval:
-        Minimum spacing of heartbeat frames a process-transport child
-        actually puts on the pipe (thread workers just stamp a shared
-        timestamp, so their heartbeats are never rate-limited).
-    kill_grace:
-        Seconds to wait after ``terminate()`` before escalating to
-        ``kill()`` when reaping a hung child process.
     """
 
     deadline: float | None = 30.0
     poll_interval: float = 0.02
     region_retries: int = 2
-    heartbeat_interval: float = 1.0
-    kill_grace: float = 2.0
 
     def __post_init__(self) -> None:
         if self.deadline is not None and self.deadline <= 0:
@@ -130,16 +121,10 @@ class SupervisionPolicy:
             raise ValueError(f"poll_interval must be positive, got {self.poll_interval}")
         if self.region_retries < 0:
             raise ValueError(f"region_retries must be >= 0, got {self.region_retries}")
-        if self.heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be positive, got {self.heartbeat_interval}"
-            )
-        if self.kill_grace <= 0:
-            raise ValueError(f"kill_grace must be positive, got {self.kill_grace}")
 
 
 def unportable_faults(plan: "FaultPlan") -> list[str]:
-    """The fault descriptions in ``plan`` that cannot run on a real transport.
+    """The fault descriptions in ``plan`` that cannot run on threads.
 
     Empty list means the whole plan is portable (crash / stall rank
     faults and corrupt message faults, reinterpreted as corrupt-result).
@@ -236,15 +221,15 @@ class _InjectedWorkerCrash(BaseException):
 
     Deliberately a :class:`BaseException`: an application ``except
     Exception`` inside the thunk must not be able to swallow an injected
-    crash, exactly as it could not swallow a child ``os._exit``.
+    crash, exactly as it could not swallow a real worker death.
     """
 
 
 class _PoisonResult:
     """Stand-in result of an injected corrupt-result fault (threads).
 
-    The collector maps it to :class:`ResultUnpicklable` — the thread
-    twin of a process child shipping back an undecodable blob.
+    The collector maps it to :class:`ResultUnpicklable`: the worker
+    finished, but what it delivered cannot be used.
     """
 
 

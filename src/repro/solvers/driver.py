@@ -91,8 +91,8 @@ def parallel_solve(
 
     ``transport`` selects the execution backend for every stage
     (factorization, matvec probe, preconditioner probe): ``"simulator"``
-    (default), ``"threads"``, ``"processes"`` or ``"none"``.  Real
-    transports return wall-clock rather than modelled times.
+    (default), ``"threads"`` or ``"none"``.  Threads return wall-clock
+    rather than modelled times.
 
     ``retry`` engages a :class:`~repro.resilience.RetryPolicy` around the
     factorization: a :class:`~repro.resilience.NumericalBreakdown` retries
@@ -100,11 +100,11 @@ def parallel_solve(
     history lands in the report's ``failure_report``.  ``faults`` arms a
     :class:`~repro.faults.FaultPlan` on the factorization; on the
     simulator recoverable faults (rank crash, message drop) are absorbed
-    by the engine's checkpoint/restart, while on the real transports the
+    by the engine's checkpoint/restart, while on threads the
     portable subset (crash / stall / corrupt-result) is absorbed by
     supervised region retry (DESIGN.md §14) — both are counted in
-    ``recoveries``.  ``supervision`` tunes the worker supervisor on real
-    transports (:class:`~repro.machine.SupervisionPolicy`).
+    ``recoveries``.  ``supervision`` tunes the worker supervisor on
+    threads (:class:`~repro.machine.SupervisionPolicy`).
     """
     d = decompose(A, nranks, seed=seed)
     params = ILUTParams(fill=m, threshold=t, k=k)

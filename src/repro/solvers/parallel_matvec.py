@@ -76,18 +76,18 @@ def parallel_matvec(
     identical, ``y`` agrees to roundoff.
 
     ``transport`` selects the execution backend (``"simulator"`` |
-    ``"threads"`` | ``"processes"`` | ``"none"`` | a ready
+    ``"threads"`` | ``"none"`` | a ready
     :class:`~repro.machine.Transport`).
 
     ``faults`` arms a :class:`~repro.faults.FaultPlan`; the simulator
     honours every fault kind (injected message faults surface as
     :class:`~repro.faults.MessageLost` /
-    :class:`~repro.faults.RankFailure`), while the real transports
-    honour the portable subset — crash / stall rank faults and corrupt
+    :class:`~repro.faults.RankFailure`), while threads honour the
+    portable subset — crash / stall rank faults and corrupt
     message faults (as corrupt-result) — and recover by supervised
     region retry (DESIGN.md §14).  The journal is returned on the
     result.  ``supervision`` tunes the worker supervisor
-    (:class:`~repro.machine.SupervisionPolicy`; real transports only).
+    (:class:`~repro.machine.SupervisionPolicy`; threads only).
 
     ``copy_payloads=True`` pickle round-trips every simulated message at
     post time (the serializing-transport debug oracle; requires

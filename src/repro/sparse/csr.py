@@ -16,6 +16,8 @@ from typing import Iterator
 
 import numpy as np
 
+from ..resilience.breakdown import NonFiniteError
+
 __all__ = ["CSRMatrix"]
 
 
@@ -101,10 +103,24 @@ class CSRMatrix:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, *, tol: float = 0.0) -> CSRMatrix:
-        """Build from a dense 2-D array, keeping entries with ``|a| > tol``."""
+        """Build from a dense 2-D array, keeping entries with ``|a| > tol``.
+
+        A NaN or Inf entry raises :class:`~repro.resilience.NonFiniteError`
+        (``|nan| > tol`` is false, so it would otherwise vanish from the
+        pattern and the factorizations' finiteness guard never see it).
+        """
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2:
             raise ValueError("from_dense expects a 2-D array")
+        bad = np.argwhere(~np.isfinite(dense))
+        if len(bad):
+            i, j = (int(v) for v in bad[0])
+            raise NonFiniteError(
+                f"non-finite value {float(dense[i, j])!r} at ({i}, {j}) "
+                "in from_dense input",
+                row=i,
+                value=float(dense[i, j]),
+            )
         rows, cols = np.nonzero(np.abs(dense) > tol)
         return cls.from_coo(rows, cols, dense[rows, cols], dense.shape)
 

@@ -1,10 +1,10 @@
 """Cross-transport parity: the tentpole guarantee of the transport layer.
 
 Every certified driver must produce **bit-identical** results on the
-simulator, the thread transport and the process transport (DESIGN.md
-§13): same factors, same solve vectors, same per-rank flop totals, same
-message/barrier counts.  The simulator fixes the reference semantics;
-these tests hold the real backends to it on the paper's G0 workload.
+simulator and the thread transport (DESIGN.md §13): same factors, same
+solve vectors, same per-rank flop totals, same message/barrier counts.
+The simulator fixes the reference semantics; these tests hold the
+real-worker backend to it on the paper's G0 workload.
 
 Also covered: the ``transport=`` entry-point surface (string specs,
 ready instances, capability errors).
@@ -21,7 +21,7 @@ from repro.ilu.parallel_ilu0 import parallel_ilu0
 from repro.ilu.triangular import parallel_triangular_solve
 from repro.machine import (
     CRAY_T3D,
-    ProcessTransport,
+    TRANSPORT_NAMES,
     Simulator,
     ThreadTransport,
     TransportCapabilityError,
@@ -32,7 +32,7 @@ from repro.machine import (
 from repro.matrices import poisson2d
 from repro.solvers.parallel_matvec import parallel_matvec
 
-TRANSPORTS = ["simulator", "threads", "processes"]
+TRANSPORTS = ["simulator", "threads"]
 BACKENDS = [None, "vectorized"]
 
 
@@ -61,7 +61,7 @@ def _assert_same_comm(a, b):
 
 
 class TestFactorizationParity:
-    """Bit-identical factors across all three transports (G0, 3 ranks)."""
+    """Bit-identical factors across both transports (G0, 3 ranks)."""
 
     A = poisson2d(10)
 
@@ -74,11 +74,10 @@ class TestFactorizationParity:
             )
             for t in TRANSPORTS
         }
-        for t in ("threads", "processes"):
-            _assert_same_factors(runs[t], runs["simulator"])
-            _assert_same_comm(runs[t], runs["simulator"])
-            assert runs[t].transport == t
-            assert runs[t].words_copied == runs["simulator"].words_copied
+        _assert_same_factors(runs["threads"], runs["simulator"])
+        _assert_same_comm(runs["threads"], runs["simulator"])
+        assert runs["threads"].transport == "threads"
+        assert runs["threads"].words_copied == runs["simulator"].words_copied
 
     def test_parallel_ilut_partitioned(self):
         runs = {
@@ -87,18 +86,16 @@ class TestFactorizationParity:
             )
             for t in TRANSPORTS
         }
-        for t in ("threads", "processes"):
-            _assert_same_factors(runs[t], runs["simulator"])
-            _assert_same_comm(runs[t], runs["simulator"])
+        _assert_same_factors(runs["threads"], runs["simulator"])
+        _assert_same_comm(runs["threads"], runs["simulator"])
 
     def test_parallel_ilu0(self):
         runs = {
             t: parallel_ilu0(self.A, 3, seed=0, transport=t)
             for t in TRANSPORTS
         }
-        for t in ("threads", "processes"):
-            _assert_same_factors(runs[t], runs["simulator"])
-            _assert_same_comm(runs[t], runs["simulator"])
+        _assert_same_factors(runs["threads"], runs["simulator"])
+        _assert_same_comm(runs["threads"], runs["simulator"])
 
 
 class TestSolveParity:
@@ -117,11 +114,10 @@ class TestSolveParity:
             )
             for t in TRANSPORTS
         }
-        for t in ("threads", "processes"):
-            assert np.array_equal(runs[t].x, runs["simulator"].x)
-            assert runs[t].flops == runs["simulator"].flops
-            _assert_same_comm(runs[t], runs["simulator"])
-            assert runs[t].transport == t
+        assert np.array_equal(runs["threads"].x, runs["simulator"].x)
+        assert runs["threads"].flops == runs["simulator"].flops
+        _assert_same_comm(runs["threads"], runs["simulator"])
+        assert runs["threads"].transport == "threads"
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matvec(self, backend):
@@ -131,10 +127,9 @@ class TestSolveParity:
             t: parallel_matvec(self.A, d, x, backend=backend, transport=t)
             for t in TRANSPORTS
         }
-        for t in ("threads", "processes"):
-            assert np.array_equal(runs[t].y, runs["simulator"].y)
-            assert runs[t].flops == runs["simulator"].flops
-            _assert_same_comm(runs[t], runs["simulator"])
+        assert np.array_equal(runs["threads"].y, runs["simulator"].y)
+        assert runs["threads"].flops == runs["simulator"].flops
+        _assert_same_comm(runs["threads"], runs["simulator"])
 
     def test_distributed_mis(self):
         g = adjacency_from_matrix(self.A)
@@ -150,9 +145,8 @@ class TestSolveParity:
                 )
             finally:
                 tr.close()
-        for t in ("threads", "processes"):
-            assert np.array_equal(outs[t][0], outs["simulator"][0])
-            assert outs[t][1:] == outs["simulator"][1:]
+        assert np.array_equal(outs["threads"][0], outs["simulator"][0])
+        assert outs["threads"][1:] == outs["simulator"][1:]
 
 
 class TestTransportSurface:
@@ -185,10 +179,14 @@ class TestTransportSurface:
 
     def test_unknown_transport_name(self):
         A = poisson2d(6)
-        with pytest.raises(ValueError, match="unknown transport"):
-            parallel_ilut(
-                A, ILUTParams(fill=3, threshold=1e-3), 2, transport="mpi"
-            )
+        assert TRANSPORT_NAMES == ("simulator", "threads", "none")
+        for name in ("mpi", "processes"):
+            with pytest.raises(ValueError, match="unknown transport") as ei:
+                parallel_ilut(
+                    A, ILUTParams(fill=3, threshold=1e-3), 2, transport=name
+                )
+            assert repr(name) in str(ei.value)
+            assert str(TRANSPORT_NAMES) in str(ei.value)
 
     def test_transport_name_helper(self):
         assert transport_name(None) == "none"
@@ -200,7 +198,7 @@ class TestCapabilityBoundary:
 
     A = poisson2d(6)
 
-    @pytest.mark.parametrize("t", ["threads", "processes", "none"])
+    @pytest.mark.parametrize("t", ["threads", "none"])
     def test_trace_requires_simulator(self, t):
         with pytest.raises(TransportCapabilityError):
             parallel_ilut(
@@ -208,7 +206,7 @@ class TestCapabilityBoundary:
                 transport=t, trace=True,
             )
 
-    @pytest.mark.parametrize("t", ["threads", "processes", "none"])
+    @pytest.mark.parametrize("t", ["threads", "none"])
     def test_faults_require_simulator(self, t):
         from repro.faults import FaultPlan, MessageFault
 
@@ -274,43 +272,12 @@ class TestThreadTransportPrimitives:
             t.pardo([lambda: t.barrier(), lambda: t.barrier()])
             assert t.stats().barriers == 1
 
+    def test_worker_compute_counts_per_rank(self):
+        with ThreadTransport(2) as t:
+            t.pardo([lambda: t.compute(0, 5.0), lambda: t.compute(1, 7.0)])
+            assert list(t.stats().per_rank_flops) == [5.0, 7.0]
+
     def test_coordinator_recv_empty_deadlocks_immediately(self):
         with ThreadTransport(2) as t:
             with pytest.raises(TransportError, match="deadlock"):
                 t.recv(1, 0, tag="nothing")
-
-
-class TestProcessTransportPrimitives:
-    def test_pardo_runs_in_child_processes(self):
-        import os
-
-        parent = os.getpid()
-        with ProcessTransport(2) as t:
-            pids = t.pardo([lambda: os.getpid()] * 2)
-        assert all(p != parent for p in pids)
-        assert pids[0] != pids[1]
-
-    def test_large_array_round_trip_via_shared_memory(self):
-        big = np.arange(100_000, dtype=np.float64)  # > SHM threshold
-        with ProcessTransport(2) as t:
-            out = t.pardo([lambda: big * 2.0, lambda: big[:8].copy()])
-        assert np.array_equal(out[0], big * 2.0)
-        assert np.array_equal(out[1], big[:8])
-
-    def test_worker_exception_reports_rank(self):
-        def boom():
-            raise ValueError("child died")
-
-        with ProcessTransport(2) as t:
-            with pytest.raises(TransportError, match="rank 1"):
-                t.pardo([lambda: 1, boom])
-
-    def test_child_messaging_is_forbidden(self):
-        with ProcessTransport(2) as t:
-            with pytest.raises(TransportError, match="rank 0"):
-                t.pardo([lambda: t.send(0, 1, None, 1.0), None])
-
-    def test_compute_folds_child_flops(self):
-        with ProcessTransport(2) as t:
-            t.pardo([lambda: t.compute(0, 5.0), lambda: t.compute(1, 7.0)])
-            assert list(t.stats().per_rank_flops) == [5.0, 7.0]

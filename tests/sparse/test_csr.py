@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.resilience import NonFiniteError
 from repro.sparse import CSRMatrix
 
 from ..conftest import to_scipy
@@ -29,6 +30,16 @@ class TestConstruction:
     def test_from_dense_rejects_1d(self):
         with pytest.raises(ValueError):
             CSRMatrix.from_dense(np.ones(3))
+
+    @pytest.mark.parametrize(
+        "entry, value", [((0, 0), np.nan), ((1, 2), np.inf)], ids=["nan-diag", "inf-offdiag"]
+    )
+    def test_from_dense_rejects_non_finite(self, entry, value):
+        D = dense_example()
+        D[entry] = value
+        with pytest.raises(NonFiniteError, match=r"at \(%d, %d\)" % entry) as ei:
+            CSRMatrix.from_dense(D)
+        assert ei.value.row == entry[0]
 
     def test_from_coo_sums_duplicates(self):
         A = CSRMatrix.from_coo([0, 0], [1, 1], [2.0, 3.0], (2, 2))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.ilu import ILUTParams, ilut
 from repro.matrices import random_diag_dominant
+from repro.resilience import NonFiniteError
 from repro.sparse import CSRMatrix, read_matrix_market, write_matrix_market
 
 
@@ -72,6 +74,17 @@ class TestReadErrors:
         p.write_text("%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n")
         with pytest.raises(ValueError):
             read_matrix_market(p)
+
+    def test_non_finite_entries_kept_and_rejected_by_factorization(self, tmp_path):
+        p = tmp_path / "nan.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 4\n1 1 nan\n1 2 1.0\n2 1 inf\n2 2 4.0\n"
+        )
+        A = read_matrix_market(p)
+        assert np.isnan(A.get(0, 0)) and np.isinf(A.get(1, 0))
+        with pytest.raises(NonFiniteError, match="input"):
+            ilut(A, ILUTParams(fill=5, threshold=1e-3))
 
     def test_truncated(self, tmp_path):
         p = tmp_path / "t.mtx"
